@@ -1,4 +1,4 @@
-package existdlog
+package existdlog_test
 
 // Allocation-ceiling guard for the columnar arena storage (ISSUE 8
 // satellite 5). The arena rewrite's whole value is its allocation
@@ -19,9 +19,17 @@ package existdlog
 // `go test ./...` skips it.
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
+
+	"existdlog"
+	"existdlog/internal/server"
+	"existdlog/internal/workload"
 )
 
 func TestBenchAllocCeilings(t *testing.T) {
@@ -29,14 +37,14 @@ func TestBenchAllocCeilings(t *testing.T) {
 		t.Skip("set EXISTDLOG_BENCH_GUARD=1 to run the alloc-ceiling guard (the CI bench job does)")
 	}
 
-	chain := func(n int) *Database {
-		db := NewDatabase()
+	chain := func(n int) *existdlog.Database {
+		db := existdlog.NewDatabase()
 		for i := 0; i < n; i++ {
 			db.Add("p", fmt.Sprint(i), fmt.Sprint(i+1))
 		}
 		return db
 	}
-	tcProg := MustParseProgram(`
+	tcProg := existdlog.MustParseProgram(`
 a(X,Y) :- p(X,Z), a(Z,Y).
 a(X,Y) :- p(X,Y).
 ?- a(X,Y).
@@ -45,8 +53,8 @@ a(X,Y) :- p(X,Y).
 	for i := 0; i < 8; i++ {
 		tc8Src += fmt.Sprintf("a%d(X,Y) :- p%d(X,Z), a%d(Z,Y).\na%d(X,Y) :- p%d(X,Y).\n", i, i, i, i, i)
 	}
-	tc8Prog := MustParseProgram(tc8Src + "?- a0(X,Y).\n")
-	tc8DB := NewDatabase()
+	tc8Prog := existdlog.MustParseProgram(tc8Src + "?- a0(X,Y).\n")
+	tc8DB := existdlog.NewDatabase()
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 192; j++ {
 			tc8DB.Add(fmt.Sprintf("p%d", i), fmt.Sprint(j), fmt.Sprint(j+1))
@@ -56,21 +64,21 @@ a(X,Y) :- p(X,Y).
 	cases := []struct {
 		name    string
 		ceiling int64 // allocs/op; measured value in the comment
-		opts    EvalOptions
-		prog    *Program
-		db      *Database
+		opts    existdlog.EvalOptions
+		prog    *existdlog.Program
+		db      *existdlog.Database
 	}{
 		// BenchmarkEngineSemiNaiveTCChain512: measured 167,453 allocs/op
 		// (seed storage: 1,876,170).
-		{"SemiNaiveTCChain512", 250_000, EvalOptions{}, tcProg, chain(512)},
+		{"SemiNaiveTCChain512", 250_000, existdlog.EvalOptions{}, tcProg, chain(512)},
 		// BenchmarkParallelSemiNaive/tc8/parallel: measured 229,105
 		// allocs/op (seed storage: 2,159,652).
-		{"ParallelTC8", 350_000, EvalOptions{Strategy: Parallel}, tc8Prog, tc8DB},
+		{"ParallelTC8", 350_000, existdlog.EvalOptions{Strategy: existdlog.Parallel}, tc8Prog, tc8DB},
 		// The trace pair's disabled side (BenchmarkEvalTraceOff's
 		// chain-10 workload, minus the harness's option plumbing):
 		// measured 439 allocs/op here; the in-engine pin with tracing
 		// plumbing is 1,715 (seed storage: 7,828).
-		{"EvalTraceOffChain10", 700, EvalOptions{}, tcProg, chain(10)},
+		{"EvalTraceOffChain10", 700, existdlog.EvalOptions{}, tcProg, chain(10)},
 	}
 	for _, c := range cases {
 		c := c
@@ -78,7 +86,7 @@ a(X,Y) :- p(X,Y).
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Eval(c.prog, c.db, c.opts); err != nil {
+					if _, err := existdlog.Eval(c.prog, c.db, c.opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -103,21 +111,21 @@ a(X,Y) :- p(X,Y).
 // planner-on numbers are also the acceptance evidence for the runtime
 // planner: they must stay strictly below their planner-off pair.
 func TestPlannerJoinProbeCeilings(t *testing.T) {
-	reorderProg := MustParseProgram(`
+	reorderProg := existdlog.MustParseProgram(`
 ans(X,W) :- big(Y,Z), sel(X,Y), big(Z,W).
 ?- ans(X,W).
 `)
-	reorderDB := NewDatabase()
+	reorderDB := existdlog.NewDatabase()
 	for i := 0; i < 2000; i++ {
 		reorderDB.Add("big", fmt.Sprint(i), fmt.Sprint(i+1))
 	}
 	reorderDB.Add("sel", "s", "3")
-	tcProg := MustParseProgram(`
+	tcProg := existdlog.MustParseProgram(`
 a(X,Y) :- p(X,Z), a(Z,Y).
 a(X,Y) :- p(X,Y).
 ?- a(X,Y).
 `)
-	tcDB := NewDatabase()
+	tcDB := existdlog.NewDatabase()
 	for i := 0; i < 512; i++ {
 		tcDB.Add("p", fmt.Sprint(i), fmt.Sprint(i+1))
 	}
@@ -126,8 +134,8 @@ a(X,Y) :- p(X,Y).
 		name    string
 		reorder bool
 		want    int64
-		prog    *Program
-		db      *Database
+		prog    *existdlog.Program
+		db      *existdlog.Database
 	}{
 		{"ReorderAblation/textual", false, 2002, reorderProg, reorderDB},
 		{"ReorderAblation/planner", true, 3, reorderProg, reorderDB},
@@ -138,7 +146,7 @@ a(X,Y) :- p(X,Y).
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			res, err := Eval(c.prog, c.db, EvalOptions{ReorderJoins: c.reorder})
+			res, err := existdlog.Eval(c.prog, c.db, existdlog.EvalOptions{ReorderJoins: c.reorder})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,4 +166,61 @@ a(X,Y) :- p(X,Y).
 				pair[0], probes[pair[0]], pair[1], probes[pair[1]])
 		}
 	}
+}
+
+// TestServedReadPathPins pins what the serve read paths cost on the
+// steady scenario's 200-node chain. Before any write, the all-needed
+// point goal tc(14,X) is evaluated per goal: projection pushing leaves
+// tc binary, so it derives all 20,100 tc facts (in 20,301 join probes)
+// to answer 186 rows. One
+// write materializes the fixpoint, and from then on the same goal is a
+// selection on it that derives nothing and probes no join. A base goal
+// never evaluates rules at all.
+func TestServedReadPathPins(t *testing.T) {
+	srv, err := server.New(server.Config{Source: workload.Scenarios["steady"].Program()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	type reply struct {
+		Path  string `json:"path"`
+		Count int    `json:"count"`
+		Stats struct {
+			FactsDerived int   `json:"facts_derived"`
+			JoinProbes   int64 `json:"join_probes"`
+		} `json:"stats"`
+	}
+	post := func(endpoint, body string) reply {
+		t.Helper()
+		resp, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", endpoint, body, resp.StatusCode)
+		}
+		var r reply
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	pin := func(goal, path string, count, facts int, probes int64) {
+		t.Helper()
+		r := post("/query", `{"goal": "`+goal+`"}`)
+		if r.Path != path || r.Count != count || r.Stats.FactsDerived != facts || r.Stats.JoinProbes != probes {
+			t.Errorf("%s: path %s, %d answers, facts_derived %d, join_probes %d; want %s, %d, %d, %d",
+				goal, r.Path, r.Count, r.Stats.FactsDerived, r.Stats.JoinProbes, path, count, facts, probes)
+		}
+	}
+
+	pin("tc(14,X)", "evaluated", 186, 20100, 20301)
+	pin("e(14,X)", "base", 1, 0, 0)
+	post("/update", `{"facts": ["e(u1,0)"]}`)
+	pin("tc(14,X)", "materialized", 186, 0, 0)
+	pin("e(14,X)", "base", 1, 0, 0)
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // cmdServe runs the long-running query service: a program is loaded
-// once and HTTP clients evaluate goals against it (POST /query) or
+// once and HTTP clients query it (POST /query) or
 // mutate its base facts (POST /update, POST /retract), with Prometheus
 // metrics (/metrics), health and readiness probes (/healthz, /readyz),
 // and the stdlib profiler (/debug/pprof). With -wal, acknowledged
@@ -32,7 +32,7 @@ import (
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8347", "listen address")
-	noopt := fs.Bool("noopt", false, "serve the program as written (skip the optimizer)")
+	noopt := fs.Bool("noopt", false, "serve the program as written: skip the optimizer and evaluate every derived goal per query")
 	parallel := fs.Bool("parallel", false, "evaluate queries with the parallel semi-naive strategy")
 	noReorder := fs.Bool("no-reorder", false, "disable the runtime join planner (per-pass greedy reordering from live cardinalities)")
 	timeout := fs.Duration("timeout", 10*time.Second, "default per-query evaluation timeout (0 = unbounded)")

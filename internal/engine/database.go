@@ -139,15 +139,107 @@ func (db *Database) Facts(key string) [][]string {
 	}
 	out := make([][]string, 0, r.Len())
 	for ti := 0; ti < r.Len(); ti++ {
-		t := r.Tuple(ti)
-		row := make([]string, len(t))
-		for i, id := range t {
-			row[i] = db.Syms.Name(id)
-		}
-		out = append(out, row)
+		out = append(out, db.decode(r.Tuple(ti)))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	sortRows(out)
+	return out
+}
+
+// Select answers the goal atom q from relation q.Key(): constants in q
+// probe the relation's index on their positions, and repeated variables
+// filter the matches. With dropAnon, positions holding anonymous
+// variables are left out of the rows and the narrowed rows are
+// deduplicated on their interned ids before decoding, which is how an
+// optimized program whose projections were pushed answers the same
+// goal. Rows are decoded and sorted lexicographically.
+//
+// Goal constants are resolved with Syms.Lookup, never interned: a
+// constant the database has never seen selects nothing, and a query
+// cannot grow the interner. An absent relation answers nil; a relation
+// of another arity is an *ArityMismatchError.
+func (db *Database) Select(q ast.Atom, dropAnon bool) ([][]string, error) {
+	rel, ok := db.rels[q.Key()]
+	if !ok {
+		return nil, nil
+	}
+	if rel.Arity() != len(q.Args) {
+		return nil, &ArityMismatchError{Key: q.Key(), Want: len(q.Args), Have: rel.Arity()}
+	}
+	var cols []int
+	var vals []int32
+	var same [][2]int // (position, earlier position of the same variable)
+	keep := make([]int, 0, len(q.Args))
+	first := make(map[string]int)
+	for i, a := range q.Args {
+		switch {
+		case a.Kind == ast.Constant:
+			id, found := db.Syms.Lookup(a.Name)
+			if !found {
+				return nil, nil
+			}
+			cols = append(cols, i)
+			vals = append(vals, id)
+		case a.IsAnon():
+			if dropAnon {
+				continue
+			}
+		default:
+			if j, seen := first[a.Name]; seen {
+				same = append(same, [2]int{i, j})
+			} else {
+				first[a.Name] = i
+			}
+		}
+		keep = append(keep, i)
+	}
+	// Rows narrowed by dropped positions can repeat; a scratch relation
+	// dedupes them on ids, before any name is decoded.
+	var uniq *Relation
+	if len(keep) < rel.Arity() {
+		uniq = NewRelation(len(keep))
+	}
+	var out [][]string
+	row := make(Tuple, len(keep))
+	visit := func(t Tuple) {
+		for _, p := range same {
+			if t[p[0]] != t[p[1]] {
+				return
+			}
+		}
+		for k, i := range keep {
+			row[k] = t[i]
+		}
+		if uniq != nil && !uniq.Insert(row) {
+			return
+		}
+		out = append(out, db.decode(row))
+	}
+	if len(cols) == 0 {
+		for ti := 0; ti < rel.Len(); ti++ {
+			visit(rel.Tuple(ti))
+		}
+	} else {
+		for _, ti := range rel.Match(cols, vals) {
+			visit(rel.Tuple(int(ti)))
+		}
+	}
+	sortRows(out)
+	return out, nil
+}
+
+// decode maps a tuple of interned ids to constant names.
+func (db *Database) decode(t Tuple) []string {
+	row := make([]string, len(t))
+	for i, id := range t {
+		row[i] = db.Syms.Name(id)
+	}
+	return row
+}
+
+// sortRows orders decoded rows lexicographically, column by column.
+func sortRows(rows [][]string) {
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
 		for k := 0; k < len(a) && k < len(b); k++ {
 			if a[k] != b[k] {
 				return a[k] < b[k]
@@ -155,7 +247,6 @@ func (db *Database) Facts(key string) [][]string {
 		}
 		return len(a) < len(b)
 	})
-	return out
 }
 
 // Count returns the number of tuples in relation key (0 if absent).

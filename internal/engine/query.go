@@ -1,75 +1,16 @@
 package engine
 
-import (
-	"sort"
-
-	"existdlog/internal/ast"
-)
+import "existdlog/internal/ast"
 
 // Answers returns the rows of the query predicate that match the goal atom
 // q: constants in q act as selections, repeated variables as equality
 // constraints. Rows are decoded to constant names and sorted. Positions
 // holding anonymous variables are retained (callers drop them if desired);
 // the engine computes whole tuples of the (already projected) query
-// predicate.
+// predicate. A relation of another arity than q answers nil.
 func (res *Result) Answers(q ast.Atom) [][]string {
-	rel, ok := res.DB.Lookup(q.Key())
-	if !ok {
-		return nil
-	}
-	if rel.Arity() != len(q.Args) {
-		return nil
-	}
-	firstSlot := make(map[string]int)
-	var out [][]string
-	for ti := 0; ti < rel.Len(); ti++ {
-		t := rel.Tuple(ti)
-		ok := true
-		for k := range firstSlot {
-			delete(firstSlot, k)
-		}
-		for i, a := range q.Args {
-			switch a.Kind {
-			case ast.Constant:
-				id, found := res.DB.Syms.Lookup(a.Name)
-				if !found || t[i] != id {
-					ok = false
-				}
-			case ast.Variable:
-				if a.IsAnon() {
-					continue
-				}
-				if j, seen := firstSlot[a.Name]; seen {
-					if t[j] != t[i] {
-						ok = false
-					}
-				} else {
-					firstSlot[a.Name] = i
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		row := make([]string, len(t))
-		for i, id := range t {
-			row[i] = res.DB.Syms.Name(id)
-		}
-		out = append(out, row)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-	return out
+	rows, _ := res.DB.Select(q, false)
+	return rows
 }
 
 // AnswerCount returns the number of matching rows for the goal atom.

@@ -89,6 +89,7 @@ type Registry struct {
 
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
+	queryPaths  [len(queryPathsArr)]atomic.Int64
 
 	// Mutation-path state (the serve write path): mutations by op and
 	// outcome, durable-store shape gauges, WAL and checkpoint activity,
@@ -189,6 +190,26 @@ func (r *Registry) QueueLeave() { r.queueDepth.Add(-1) }
 // CacheHit / CacheMiss count optimized-program cache lookups.
 func (r *Registry) CacheHit()  { r.cacheHits.Add(1) }
 func (r *Registry) CacheMiss() { r.cacheMisses.Add(1) }
+
+// queryPathsArr names the read paths a query can be answered by, sorted so
+// the exposition pre-declares every series at zero: "base" (a base or
+// undefined predicate, selected from the pinned base facts), "evaluated"
+// (the goal's optimized program evaluated over the base facts) and
+// "materialized" (selected from the pinned version's maintained
+// fixpoint).
+var queryPathsArr = [...]string{"base", "evaluated", "materialized"}
+
+// QueryPath counts one answered query by the read path that served it.
+// Unknown paths fold into the first series.
+func (r *Registry) QueryPath(path string) {
+	i := 0
+	for j, p := range queryPathsArr {
+		if p == path {
+			i = j
+		}
+	}
+	r.queryPaths[i].Add(1)
+}
 
 // rejectReasonsArr and rejectClassesArr index the rejected array; both
 // are sorted so the exposition pre-declares every series at zero.
@@ -395,6 +416,9 @@ type Snapshot struct {
 
 	CacheHits   int64
 	CacheMisses int64
+	// QueryPaths maps a read path ("base", "evaluated", "materialized")
+	// to its counter.
+	QueryPaths map[string]int64
 
 	// Mutations maps "op/outcome" (e.g. "update/ok") to its counter.
 	Mutations         map[string]int64
@@ -451,6 +475,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		RuleFirings:       r.ruleFirings.Load(),
 		CacheHits:         r.cacheHits.Load(),
 		CacheMisses:       r.cacheMisses.Load(),
+		QueryPaths:        make(map[string]int64, len(queryPathsArr)),
 		Mutations:         make(map[string]int64, len(r.mutations)),
 		StoreSeq:          r.storeSeq.Load(),
 		StoreBaseFacts:    r.storeBase.Load(),
@@ -470,6 +495,9 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for i, o := range outcomes {
 		s.Queries[o] = r.queries[i].Load()
+	}
+	for i, p := range queryPathsArr {
+		s.QueryPaths[p] = r.queryPaths[i].Load()
 	}
 	for ci, class := range rejectClassesArr {
 		for ri, reason := range rejectReasonsArr {

@@ -216,6 +216,7 @@ func TestExpositionValid(t *testing.T) {
 		"existdlog_query_duration_seconds", "existdlog_query_facts",
 		"existdlog_delta_size", "existdlog_rule_firings_total",
 		"existdlog_rule_cuts_total", "existdlog_optimize_cache_total",
+		"existdlog_query_path_total",
 		"existdlog_process_start_time_seconds",
 	} {
 		if families[want] == nil {

@@ -83,6 +83,11 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		p.sample("existdlog_queries_total", fmt.Sprintf("outcome=%q", string(o)), s.Queries[o])
 	}
 
+	p.header("existdlog_query_path_total", "Queries answered, by the read path that served them.", "counter")
+	for _, path := range queryPathsArr {
+		p.sample("existdlog_query_path_total", fmt.Sprintf("path=%q", path), s.QueryPaths[path])
+	}
+
 	p.header("existdlog_queries_in_flight", "Queries currently evaluating.", "gauge")
 	p.sample("existdlog_queries_in_flight", "", s.InFlight)
 	p.header("existdlog_queue_depth", "Requests waiting for an evaluation slot.", "gauge")

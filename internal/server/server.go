@@ -10,15 +10,21 @@
 //	GET  /readyz       readiness: 503 once draining begins
 //	GET  /debug/pprof  the stdlib profiler endpoints
 //
-// Every query evaluates with Options.Trace set and drains its Result
+// Each query pins one immutable Version of the fact store (store.go)
+// with a single atomic load and is answered by one of three read paths,
+// named in the response and counted on /metrics: a base or undefined
+// predicate is selected from the version's base facts; a derived
+// predicate is selected from the version's maintained fixpoint (Mat)
+// when it has one; otherwise the goal's optimized program is evaluated
+// over the base facts with Options.Trace set, and its Result drains
 // into an obs.Registry, so the process-lifetime counters exactly
 // partition the per-query Stats. Concurrent queries are safe without
-// locking in the engine: each query pins one immutable Version of the
-// fact store (store.go) with a single atomic load, the symbol table is
-// internally synchronized, and optimized programs are cached immutably
-// per goal — the cache survives mutations because the optimizer reasons
-// from rules alone, never from facts. Writes serialize through the
-// store's applier and are acknowledged only once durable and applied.
+// locking in the engine: pinned versions are frozen, the symbol table
+// is internally synchronized, and optimized programs are cached
+// immutably per goal — the cache survives mutations because the
+// optimizer reasons from rules alone, never from facts. Writes
+// serialize through the store's applier and are acknowledged only once
+// durable and applied.
 // Cancellation arrives through the same context plumbing the CLI uses —
 // a per-request timeout, a client disconnect, or a server-wide drain
 // abort all land at the engine's pass barriers and come back as a sound
@@ -61,7 +67,9 @@ type Config struct {
 	// Name labels the program in logs (typically the file path).
 	Name string
 	// NoOptimize serves the program as written instead of optimizing
-	// each goal's program through the paper's pipeline.
+	// each goal's program through the paper's pipeline, and evaluates
+	// every derived goal per query instead of reading the store's
+	// materialized fixpoint: it is the optimizer ablation.
 	NoOptimize bool
 	// Parallel evaluates with the parallel semi-naive strategy.
 	Parallel bool
@@ -134,6 +142,9 @@ type Server struct {
 	now   func() time.Time
 	base  *ast.Program
 	store *Store
+	// arity maps every predicate the served rules mention to its arity,
+	// so a goal of another arity is refused before any read path runs.
+	arity map[string]int
 
 	adm   *admission
 	cache sync.Map // goal key -> *compiled
@@ -200,9 +211,16 @@ func New(cfg Config) (*Server, error) {
 		now:      now,
 		base:     prog,
 		store:    store,
+		arity:    make(map[string]int),
 		adm:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueTimeout, reg),
 		abortCtx: abortCtx,
 		abort:    abort,
+	}
+	for _, r := range prog.Rules {
+		s.arity[r.Head.Key()] = len(r.Head.Args)
+		for _, b := range r.Body {
+			s.arity[b.Key()] = len(b.Args)
+		}
 	}
 	if cfg.FlightSize > 0 {
 		s.rec = tracespan.NewRecorder(cfg.FlightSize)
@@ -347,6 +365,43 @@ func goalKey(g ast.Atom) string {
 	return sb.String()
 }
 
+// The read paths: where a query's answer comes from.
+const (
+	// pathBase selects a base or undefined predicate from the pinned
+	// version's base facts.
+	pathBase = "base"
+	// pathMaterialized selects a derived predicate from the pinned
+	// version's maintained fixpoint.
+	pathMaterialized = "materialized"
+	// pathEvaluated evaluates the goal's optimized program over the
+	// pinned version's base facts.
+	pathEvaluated = "evaluated"
+)
+
+// readPath picks where goal is answered from in version v. A derived
+// goal reads the maintained fixpoint when v has one; otherwise — no
+// write since start, materialization disabled by MaxFacts — it is
+// evaluated per goal, as it always is under -noopt, which exists to
+// measure that pipeline.
+func (s *Server) readPath(goal ast.Atom, v *Version) string {
+	switch {
+	case !s.base.Derived[goal.Key()]:
+		return pathBase
+	case v.Mat != nil && !s.cfg.NoOptimize:
+		return pathMaterialized
+	}
+	return pathEvaluated
+}
+
+// checkArity refuses a goal whose predicate the served rules use with
+// another arity, in the words program validation would use.
+func (s *Server) checkArity(goal ast.Atom) error {
+	if n, ok := s.arity[goal.Key()]; ok && n != len(goal.Args) {
+		return fmt.Errorf("query: predicate %s used with arities %d and %d", goal.Key(), n, len(goal.Args))
+	}
+	return nil
+}
+
 // compile returns the (possibly optimized) program for one goal, cached
 // by the goal's canonical shape plus the planner setting the evaluation
 // will run with: a per-request reorder override must never be served an
@@ -368,10 +423,9 @@ func (s *Server) compile(goal ast.Atom, reorder bool) (*compiled, bool, error) {
 	prog := s.base.Clone()
 	prog.Query = goal
 	c := &compiled{prog: prog, goal: goal}
-	// Goals over base relations (and programs served with -noopt)
-	// evaluate as written; the optimizer's pipeline assumes the query
-	// predicate is derived.
-	if !s.cfg.NoOptimize && prog.Derived[goal.Key()] {
+	// Only derived goals reach compile (readPath sends the rest to the
+	// base facts); -noopt serves them as written.
+	if !s.cfg.NoOptimize {
 		res, err := existdlog.Optimize(prog, existdlog.DefaultOptions())
 		if err != nil {
 			return nil, false, err
@@ -419,7 +473,16 @@ type queryResponse struct {
 	// TraceID correlates this response with the flight recorder, the
 	// slow-query log, and histogram exemplars ("" when tracing is
 	// disabled).
-	TraceID        string            `json:"trace,omitempty"`
+	TraceID string `json:"trace,omitempty"`
+	// Seq is the store version the query pinned: the answers are exact
+	// for the base facts of that version.
+	Seq uint64 `json:"seq"`
+	// Path names the read path that answered: "base" (a base or
+	// undefined predicate, selected from the pinned base facts),
+	// "materialized" (selected from the pinned version's maintained
+	// fixpoint; stats are all zero) or "evaluated" (the goal's
+	// optimized program evaluated over the pinned base facts).
+	Path           string            `json:"path"`
 	Goal           string            `json:"goal"`
 	Answers        [][]string        `json:"answers"`
 	Count          int               `json:"count"`
@@ -652,6 +715,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	tb.End(decodeSpan)
 	tb.SetDetail(goal.String())
+	if err := s.checkArity(goal); err != nil {
+		fail(http.StatusBadRequest, err)
+		return
+	}
+
+	// Pin the store version once: the base facts and the maintained
+	// fixpoint that answer this query belong to one immutable version, no
+	// matter how many writes install newer versions meanwhile.
+	v := s.store.Current()
+	path := s.readPath(goal, v)
 
 	// The join planner is on by default; -no-reorder flips the default
 	// and the request's "reorder" field overrides either way.
@@ -660,33 +733,43 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		reorder = *req.Reorder
 	}
 
-	compileSpan := tb.Start("compile")
-	c, cached, err := s.compile(goal, reorder)
-	if err != nil {
-		fail(errStatus(err), err)
-		return
-	}
-	tb.End(compileSpan)
-	if cached {
-		tb.Attr(compileSpan, "cache", "hit")
-	} else {
-		tb.Attr(compileSpan, "cache", "miss")
-	}
-	if c.empty {
-		tb.Attr(compileSpan, "proved_empty", "true")
-		elapsed := s.now().Sub(start)
-		s.reg.ObserveQuery(engine.Stats{}, nil, elapsed, obs.OutcomeOK, tb.TraceID())
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "query",
-			slog.String("request", id),
-			slog.String("goal", goal.String()),
-			slog.Bool("proved_empty", true),
-			slog.Duration("elapsed", elapsed))
-		writeJSON(w, http.StatusOK, queryResponse{
-			Request: id, TraceID: tb.TraceID(), Goal: c.goal.String(), Answers: [][]string{},
-			ProvedEmpty: true, Cached: cached, ElapsedSeconds: elapsed.Seconds(),
-		})
-		s.finishTrace(tb, http.StatusOK, "ok")
-		return
+	// Only the evaluated path runs a program, so only it compiles one.
+	var c *compiled
+	cached := false
+	goalText := goal.String()
+	if path == pathEvaluated {
+		compileSpan := tb.Start("compile")
+		c, cached, err = s.compile(goal, reorder)
+		if err != nil {
+			fail(errStatus(err), err)
+			return
+		}
+		tb.End(compileSpan)
+		if cached {
+			tb.Attr(compileSpan, "cache", "hit")
+		} else {
+			tb.Attr(compileSpan, "cache", "miss")
+		}
+		goalText = c.goal.String()
+		if c.empty {
+			tb.Attr(compileSpan, "proved_empty", "true")
+			elapsed := s.now().Sub(start)
+			s.reg.ObserveQuery(engine.Stats{}, nil, elapsed, obs.OutcomeOK, tb.TraceID())
+			s.reg.QueryPath(path)
+			s.log.LogAttrs(r.Context(), slog.LevelInfo, "query",
+				slog.String("request", id),
+				slog.String("goal", goalText),
+				slog.String("path", path),
+				slog.Uint64("seq", v.Seq),
+				slog.Bool("proved_empty", true),
+				slog.Duration("elapsed", elapsed))
+			writeJSON(w, http.StatusOK, queryResponse{
+				Request: id, TraceID: tb.TraceID(), Seq: v.Seq, Path: path, Goal: goalText,
+				Answers: [][]string{}, ProvedEmpty: true, Cached: cached, ElapsedSeconds: elapsed.Seconds(),
+			})
+			s.finishTrace(tb, http.StatusOK, "ok")
+			return
+		}
 	}
 
 	timeout := s.cfg.DefaultTimeout
@@ -729,21 +812,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	finish := s.reg.QueryStarted()
 	defer finish()
 
-	opts := existdlog.EvalOptions{
-		BooleanCut:   true,
-		Trace:        true,
-		MaxFacts:     s.cfg.MaxFacts,
-		PassTimes:    tb != nil,
-		ReorderJoins: reorder,
-	}
-	if s.cfg.Parallel {
-		opts.Strategy = existdlog.Parallel
-	}
-	// Pin the store version once: the whole evaluation sees one immutable
-	// base state, no matter how many writes install newer versions
-	// meanwhile.
 	evalSpan := tb.Start("eval")
-	res, evalErr := existdlog.EvalContext(evalCtx, c.prog, s.store.Current().EDB, opts)
+	tb.Attr(evalSpan, "path", path)
+	var res *engine.Result
+	var answers [][]string
+	var evalErr error
+	switch path {
+	case pathEvaluated:
+		opts := existdlog.EvalOptions{
+			BooleanCut:   true,
+			Trace:        true,
+			MaxFacts:     s.cfg.MaxFacts,
+			PassTimes:    tb != nil,
+			ReorderJoins: reorder,
+		}
+		if s.cfg.Parallel {
+			opts.Strategy = existdlog.Parallel
+		}
+		res, evalErr = existdlog.EvalContext(evalCtx, c.prog, v.EDB, opts)
+		if res != nil {
+			answers = res.Answers(c.goal)
+		}
+	case pathMaterialized:
+		// Dropping anonymous positions answers exactly what the
+		// goal's optimized program would, whose projections were pushed.
+		answers, evalErr = v.Mat.DB.Select(goal, true)
+	default:
+		answers, evalErr = v.EDB.Select(goal, false)
+	}
 	tb.End(evalSpan)
 	if res != nil {
 		s.graftPassSpans(tb, evalSpan, res)
@@ -758,46 +854,55 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Only an evaluation has statistics; a selection derives nothing.
+	var stats engine.Stats
+	var metrics *trace.Metrics
 	outcome := obs.OutcomeOK
-	if res.Partial {
-		outcome = obs.OutcomePartial
-	}
-	s.reg.ObserveQuery(res.Stats, res.Trace, elapsed, outcome, tb.TraceID())
-
-	respondSpan := tb.Start("respond")
-	answers := res.Answers(c.goal)
-	if answers == nil {
-		answers = [][]string{}
-	}
 	resp := queryResponse{
 		Request:        id,
 		TraceID:        tb.TraceID(),
-		Goal:           c.goal.String(),
+		Seq:            v.Seq,
+		Path:           path,
+		Goal:           goalText,
 		Answers:        answers,
 		Count:          len(answers),
-		Partial:        res.Partial,
-		Incomplete:     res.Incomplete,
 		Cached:         cached,
 		ElapsedSeconds: elapsed.Seconds(),
-		Stats: statsJSON{
-			Iterations:    res.Stats.Iterations,
-			FactsDerived:  res.Stats.FactsDerived,
-			Derivations:   res.Stats.Derivations,
-			DuplicateHits: res.Stats.DuplicateHits,
-			JoinProbes:    res.Stats.JoinProbes,
-			RulesRetired:  res.Stats.RulesRetired,
-		},
 	}
-	if req.Trace && res.Trace != nil {
-		resp.Rules = res.Trace.Rules
-		resp.Passes = res.Trace.Passes
+	if res != nil {
+		stats, metrics = res.Stats, res.Trace
+		if res.Partial {
+			outcome = obs.OutcomePartial
+		}
+		resp.Partial, resp.Incomplete = res.Partial, res.Incomplete
+		resp.Stats = statsJSON{
+			Iterations:    stats.Iterations,
+			FactsDerived:  stats.FactsDerived,
+			Derivations:   stats.Derivations,
+			DuplicateHits: stats.DuplicateHits,
+			JoinProbes:    stats.JoinProbes,
+			RulesRetired:  stats.RulesRetired,
+		}
+		if req.Trace && metrics != nil {
+			resp.Rules = metrics.Rules
+			resp.Passes = metrics.Passes
+		}
+	}
+	s.reg.ObserveQuery(stats, metrics, elapsed, outcome, tb.TraceID())
+	s.reg.QueryPath(path)
+
+	respondSpan := tb.Start("respond")
+	if resp.Answers == nil {
+		resp.Answers = [][]string{}
 	}
 	s.log.LogAttrs(r.Context(), slog.LevelInfo, "query",
 		slog.String("request", id),
-		slog.String("goal", c.goal.String()),
+		slog.String("goal", goalText),
+		slog.String("path", path),
+		slog.Uint64("seq", v.Seq),
 		slog.String("outcome", string(outcome)),
 		slog.Int("answers", len(answers)),
-		slog.Int("facts", res.Stats.FactsDerived),
+		slog.Int("facts", stats.FactsDerived),
 		slog.Bool("cached", cached),
 		slog.Duration("elapsed", elapsed))
 	writeJSON(w, http.StatusOK, resp)

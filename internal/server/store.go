@@ -58,8 +58,8 @@ type Store struct {
 	// permanently (applier-only state) the first time the bounded
 	// fixpoint fails to complete — a program that diverges without a
 	// goal, e.g. an unbounded counter. The store then maintains only the
-	// base facts; queries never read the materialization, so they are
-	// unaffected.
+	// base facts, and every derived query takes the evaluated read path
+	// (per-goal evaluation with its own bounds) instead of reading Mat.
 	matEnabled bool
 
 	cur atomic.Pointer[Version]
@@ -94,9 +94,11 @@ type Store struct {
 
 // Version is one immutable state of the store: the base facts, the
 // materialized fixpoint of the served program over them, and the
-// sequence number of the last mutation included. Mat is nil until the
-// first write materializes (lazily: read-only workloads never pay for a
-// fixpoint no query reads) and stays nil for programs whose bounded
+// sequence number of the last mutation included. Queries on derived
+// predicates are answered by selection on Mat when it is set. Mat is
+// nil until the first write materializes it — lazily, so start-up
+// never pays for a full fixpoint and reads before the first write
+// evaluate per goal — and stays nil for programs whose bounded
 // materialization cannot complete.
 type Version struct {
 	Seq uint64
@@ -687,7 +689,7 @@ func (s *Store) validate(edb *engine.Database, m Mutation) error {
 // evaluation of the new base state. A full evaluation that itself fails
 // or comes back partial disables materialization permanently instead of
 // installing an incomplete fixpoint; the base facts remain exact either
-// way, so queries are unaffected.
+// way, and queries fall back to per-goal evaluation over them.
 func (s *Store) applyRun(edb *engine.Database, mat *engine.Result, op wal.Op, run []*mutReq) (*engine.Result, error) {
 	// Chaos site: an injected maintenance error fails the batch before
 	// anything is logged or installed — clients see a clean error, the

@@ -104,7 +104,9 @@ func TestGoalKeyCollision(t *testing.T) {
 // colliding goals query different base tuples, so a collision serves
 // one goal the other's cached answers.
 func TestGoalKeyCollisionServed(t *testing.T) {
-	src := `e('x,c:y','z'). e('x','y,c:z').`
+	// e is derived, so both goals compile (base goals never do).
+	src := `e(X,Y) :- b(X,Y).
+b('x,c:y','z'). b('x','y,c:z').`
 	_, ts := newTestServer(t, Config{Source: src})
 	_, out1 := postQuery(t, ts.URL, `{"goal": "e('x,c:y','z')"}`)
 	if out1["count"].(float64) != 1 {
@@ -159,8 +161,8 @@ func TestMutationEndpoints(t *testing.T) {
 	if out["count"].(float64) != 10 {
 		t.Errorf("after update count = %v, want 10 (closure of a 5-chain)", out["count"])
 	}
-	if !out["cached"].(bool) {
-		t.Error("the compiled-program cache must survive mutations (it depends on rules only)")
+	if out["path"] != pathMaterialized || out["seq"].(float64) != 1 {
+		t.Errorf("after update: path %v at seq %v, want the materialized fixpoint at seq 1", out["path"], out["seq"])
 	}
 
 	resp, out = postJSON(t, ts.URL+"/retract", `{"facts": ["p(4,5)", "p(3,4)"]}`)
@@ -184,6 +186,23 @@ func TestMutationEndpoints(t *testing.T) {
 	}
 	if snap.StoreDerivedFacts == 0 {
 		t.Error("derived facts gauge still zero after materializing writes")
+	}
+}
+
+// TestCompileCacheSurvivesMutations: a goal evaluated per goal keeps
+// its compiled program across writes, because the optimizer reasons
+// from rules alone. Under -noopt every derived goal takes the evaluated
+// path, written to or not.
+func TestCompileCacheSurvivesMutations(t *testing.T) {
+	_, ts := newTestServer(t, Config{Source: chainSrc, NoOptimize: true})
+	postQuery(t, ts.URL, `{"goal": "a(X,Y)"}`)
+	postJSON(t, ts.URL+"/update", `{"facts": ["p(4,5)"]}`)
+	_, out := postQuery(t, ts.URL, `{"goal": "a(X,Y)"}`)
+	if out["path"] != pathEvaluated || out["count"].(float64) != 10 {
+		t.Fatalf("-noopt after update: path %v, count %v; want evaluated, 10", out["path"], out["count"])
+	}
+	if !out["cached"].(bool) {
+		t.Error("the compiled-program cache must survive mutations (it depends on rules only)")
 	}
 }
 
