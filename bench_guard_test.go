@@ -49,17 +49,6 @@ a(X,Y) :- p(X,Z), a(Z,Y).
 a(X,Y) :- p(X,Y).
 ?- a(X,Y).
 `)
-	tc8Src := ""
-	for i := 0; i < 8; i++ {
-		tc8Src += fmt.Sprintf("a%d(X,Y) :- p%d(X,Z), a%d(Z,Y).\na%d(X,Y) :- p%d(X,Y).\n", i, i, i, i, i)
-	}
-	tc8Prog := existdlog.MustParseProgram(tc8Src + "?- a0(X,Y).\n")
-	tc8DB := existdlog.NewDatabase()
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 192; j++ {
-			tc8DB.Add(fmt.Sprintf("p%d", i), fmt.Sprint(j), fmt.Sprint(j+1))
-		}
-	}
 
 	cases := []struct {
 		name    string
@@ -71,9 +60,6 @@ a(X,Y) :- p(X,Y).
 		// BenchmarkEngineSemiNaiveTCChain512: measured 167,453 allocs/op
 		// (seed storage: 1,876,170).
 		{"SemiNaiveTCChain512", 250_000, existdlog.EvalOptions{}, tcProg, chain(512)},
-		// BenchmarkParallelSemiNaive/tc8/parallel: measured 229,105
-		// allocs/op (seed storage: 2,159,652).
-		{"ParallelTC8", 350_000, existdlog.EvalOptions{Strategy: existdlog.Parallel}, tc8Prog, tc8DB},
 		// The trace pair's disabled side (BenchmarkEvalTraceOff's
 		// chain-10 workload, minus the harness's option plumbing):
 		// measured 439 allocs/op here; the in-engine pin with tracing

@@ -171,104 +171,6 @@ a(X,Y) :- p(X,Y).
 	}
 }
 
-// Sequential vs parallel semi-naive on multi-rule workloads. The parallel
-// strategy fans the rule versions of each pass over GOMAXPROCS workers, so
-// it needs several independent rule versions per pass to win; both
-// workloads here provide that. Results and Stats are identical by
-// construction (checked once per workload below); only wall-clock differs.
-// On a single-core box the pair measures the coordination overhead instead
-// of a speedup — run with GOMAXPROCS >= 4 to see the fan-out pay off.
-func BenchmarkParallelSemiNaive(b *testing.B) {
-	workloads := []struct {
-		name string
-		src  string
-		db   func() *Database
-	}{
-		{
-			// Eight independent transitive closures: 16 rules, up to 8
-			// delta versions live in every pass.
-			name: "tc8",
-			src: func() string {
-				s := ""
-				for i := 0; i < 8; i++ {
-					s += fmt.Sprintf("a%d(X,Y) :- p%d(X,Z), a%d(Z,Y).\na%d(X,Y) :- p%d(X,Y).\n", i, i, i, i, i)
-				}
-				return s + "?- a0(X,Y).\n"
-			}(),
-			db: func() *Database {
-				db := NewDatabase()
-				for i := 0; i < 8; i++ {
-					for j := 0; j < 192; j++ {
-						db.Add(fmt.Sprintf("p%d", i), fmt.Sprint(j), fmt.Sprint(j+1))
-					}
-				}
-				return db
-			},
-		},
-		{
-			// Join-heavy: several wedge/triangle-style rules over one dense
-			// random graph — few facts out, many probes per version, the
-			// profile where per-version work dominates coordination.
-			name: "tri",
-			src: `w1(X,Z) :- g(X,Y), g(Y,Z).
-w2(X,Z) :- g(X,Y), h(Y,Z).
-w3(X,Z) :- h(X,Y), g(Y,Z).
-t1(X) :- g(X,Y), g(Y,Z), g(Z,X).
-t2(X) :- g(X,Y), h(Y,Z), g(Z,X).
-t3(X) :- h(X,Y), h(Y,Z), h(Z,X).
-r(X,Z) :- w1(X,Y), w2(Y,Z).
-r(X,Z) :- r(X,Y), w3(Y,Z).
-?- r(X,Y).
-`,
-			db: func() *Database {
-				db := NewDatabase()
-				rng := 1
-				for i := 0; i < 900; i++ {
-					rng = rng * 48271 % 2147483647
-					a := rng % 60
-					rng = rng * 48271 % 2147483647
-					c := rng % 60
-					db.Add("g", fmt.Sprint(a), fmt.Sprint(c))
-					db.Add("h", fmt.Sprint(c), fmt.Sprint((a+c)%60))
-				}
-				return db
-			},
-		},
-	}
-	for _, wl := range workloads {
-		prog := MustParseProgram(wl.src)
-		db := wl.db()
-		seq, err := Eval(prog, db, EvalOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		par, err := Eval(prog, db, EvalOptions{Strategy: Parallel})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if seq.Stats != par.Stats {
-			b.Fatalf("%s: parallel stats diverge: %+v vs %+v", wl.name, seq.Stats, par.Stats)
-		}
-		for _, cfg := range []struct {
-			name string
-			opts EvalOptions
-		}{
-			{"seminaive", EvalOptions{}},
-			{"parallel", EvalOptions{Strategy: Parallel}},
-		} {
-			b.Run(wl.name+"/"+cfg.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := Eval(prog, db, cfg.opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(seq.Stats.FactsDerived), "facts/op")
-			})
-		}
-	}
-}
-
 func BenchmarkParse(b *testing.B) {
 	src := `
 query(X) :- a(X,Y).

@@ -3,7 +3,7 @@
 //
 //	existdlog optimize [-mode 51|53] [-magic] file.dl   step-by-step optimization report
 //	existdlog adorn file.dl                             print the adorned program
-//	existdlog run [-noopt] [-nocut] [-naive] [-parallel] [-reorder] [-explain] [-trace] [-timeout 1s] file.dl  evaluate and print answers + stats
+//	existdlog run [-noopt] [-nocut] [-naive] [-reorder] [-explain] [-trace] [-timeout 1s] file.dl  evaluate and print answers + stats
 //	existdlog explain [-json] [-plan] file.dl           optimizer EXPLAIN: what each stage decided
 //	existdlog why file.dl 'a@nd(1)'                     print one answer's derivation tree
 //	existdlog grammar file.dl                           chain-program/grammar analysis
@@ -169,7 +169,6 @@ func cmdRun(args []string) error {
 	noopt := fs.Bool("noopt", false, "evaluate the program as written")
 	nocut := fs.Bool("nocut", false, "disable the runtime boolean cut")
 	naive := fs.Bool("naive", false, "use naive instead of semi-naive evaluation")
-	parallel := fs.Bool("parallel", false, "parallel semi-naive evaluation (same answers and stats, GOMAXPROCS workers)")
 	reorder := fs.Bool("reorder", false, "greedy bound-first join reordering")
 	explain := fs.Bool("explain", false, "print the optimizer's EXPLAIN report before the answers")
 	traceFlag := fs.Bool("trace", false, "collect per-rule/per-pass metrics and print them after the stats")
@@ -228,14 +227,8 @@ func cmdRun(args []string) error {
 		}
 	}
 	opts := existdlog.EvalOptions{BooleanCut: !*nocut, ReorderJoins: *reorder, Trace: *traceFlag}
-	if *naive && *parallel {
-		return fmt.Errorf("run: -naive and -parallel are mutually exclusive")
-	}
 	if *naive {
 		opts.Strategy = existdlog.Naive
-	}
-	if *parallel {
-		opts.Strategy = existdlog.Parallel
 	}
 	ctx := context.Background()
 	if *timeout > 0 {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -193,45 +192,6 @@ func TestReplSession(t *testing.T) {
 	}
 	if !strings.Contains(out2.String(), "r@nn(a,b)") && !strings.Contains(out2.String(), "r(a,b)") {
 		t.Errorf("streamed repl output:\n%s", out2.String())
-	}
-}
-
-// TestCmdRunParallelMatchesSequential is the golden CLI check for the
-// parallel evaluator: on every testdata program, `run -parallel` must
-// byte-match the sequential output — answers, their order, and the stats
-// line (the deterministic merge makes Stats identical, not just the
-// fixpoint). Checked both through the optimizer pipeline and with -noopt.
-func TestCmdRunParallelMatchesSequential(t *testing.T) {
-	files, err := filepath.Glob("testdata/*.dl")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("globbing testdata: %v (%d files)", err, len(files))
-	}
-	for _, file := range files {
-		for _, noopt := range []bool{false, true} {
-			name := filepath.Base(file)
-			if noopt {
-				name += "/noopt"
-			}
-			t.Run(name, func(t *testing.T) {
-				var base []string
-				if noopt {
-					base = append(base, "-noopt")
-				}
-				if filepath.Base(file) == "csvquery.dl" {
-					base = append(base, "-rel", "e=testdata/edges.csv")
-				}
-				seq := capture(t, func() error { return cmdRun(append(base, file)) })
-				par := capture(t, func() error {
-					return cmdRun(append(append([]string{"-parallel"}, base...), file))
-				})
-				if par != seq {
-					t.Errorf("parallel output diverges from sequential\nsequential:\n%s\nparallel:\n%s", seq, par)
-				}
-			})
-		}
-	}
-	if err := cmdRun([]string{"-naive", "-parallel", "testdata/example1.dl"}); err == nil {
-		t.Error("-naive -parallel together should error")
 	}
 }
 

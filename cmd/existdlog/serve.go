@@ -33,8 +33,6 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8347", "listen address")
 	noopt := fs.Bool("noopt", false, "serve the program as written: skip the optimizer and evaluate every derived goal per query")
-	parallel := fs.Bool("parallel", false, "evaluate queries with the parallel semi-naive strategy")
-	noReorder := fs.Bool("no-reorder", false, "disable the runtime join planner (per-pass greedy reordering from live cardinalities)")
 	timeout := fs.Duration("timeout", 10*time.Second, "default per-query evaluation timeout (0 = unbounded)")
 	maxTimeout := fs.Duration("max-timeout", time.Minute, "cap on client-requested query timeouts (0 = no cap)")
 	maxConcurrent := fs.Int("max-concurrent", runtime.GOMAXPROCS(0), "concurrently evaluating queries; excess requests queue")
@@ -61,8 +59,6 @@ func cmdServe(args []string) error {
 		Source:         string(src),
 		Name:           path,
 		NoOptimize:     *noopt,
-		Parallel:       *parallel,
-		NoReorder:      *noReorder,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		MaxConcurrent:  *maxConcurrent,

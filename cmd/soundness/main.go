@@ -6,11 +6,15 @@
 // with a reproducer. Exit status 1 on failure.
 //
 //	go run ./cmd/soundness -trials 2000 -seed 7
+//
+// `go test ./cmd/soundness` runs the same campaign at the default seed
+// (500 trials, 100 under -short).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -18,19 +22,31 @@ import (
 	"existdlog"
 )
 
-// Extended randomized soundness campaign: random programs (recursion,
-// flips, self-joins, disconnected guards, negation in the query rule),
-// random databases; optimized answers must match the original's on the
-// needed column.
+// defaultSeed is the campaign's fixed seed, shared by the command's
+// default and the test.
+const defaultSeed = 20260704
+
 func main() {
-	trialsFlag := flag.Int("trials", 500, "number of random programs to try")
-	seed := flag.Int64("seed", 20260704, "random seed")
+	trials := flag.Int("trials", 500, "number of random programs to try")
+	seed := flag.Int64("seed", defaultSeed, "random seed")
 	flag.Parse()
-	rng := rand.New(rand.NewSource(*seed))
+	fails := campaign(*trials, *seed, os.Stdout)
+	fmt.Printf("campaign complete: %d trials, %d failures\n", *trials, fails)
+	if fails > 0 {
+		os.Exit(1)
+	}
+}
+
+// campaign is the extended randomized soundness campaign: random programs
+// (recursion, flips, self-joins, disconnected guards, negation in the
+// query rule), random databases; optimized answers must match the
+// original's on the needed column. It writes a reproducer for every
+// divergence to w and returns the number of failures.
+func campaign(trials int, seed int64, w io.Writer) int {
+	rng := rand.New(rand.NewSource(seed))
 	derived := []string{"d1", "d2", "d3"}
 	base := []string{"e", "f"}
 	fails := 0
-	trials := *trialsFlag
 	for trial := 0; trial < trials; trial++ {
 		var sb strings.Builder
 		n := 1 + rng.Intn(5)
@@ -73,13 +89,13 @@ func main() {
 		src := sb.String()
 		prog, err := existdlog.ParseProgram(src)
 		if err != nil {
-			fmt.Println("PARSE FAIL:", err, "\n", src)
+			fmt.Fprintln(w, "PARSE FAIL:", err, "\n", src)
 			fails++
 			continue
 		}
 		res, err := existdlog.Optimize(prog, existdlog.DefaultOptions())
 		if err != nil {
-			fmt.Println("OPTIMIZE FAIL:", err, "\n", src)
+			fmt.Fprintln(w, "OPTIMIZE FAIL:", err, "\n", src)
 			fails++
 			continue
 		}
@@ -95,13 +111,13 @@ func main() {
 			}
 			before, err := existdlog.Eval(prog, db, existdlog.EvalOptions{})
 			if err != nil {
-				fmt.Println("EVAL FAIL:", err, "\n", src)
+				fmt.Fprintln(w, "EVAL FAIL:", err, "\n", src)
 				fails++
 				break
 			}
 			after, err := existdlog.Eval(res.Program, db, existdlog.EvalOptions{BooleanCut: true})
 			if err != nil {
-				fmt.Println("EVAL-OPT FAIL:", err, "\n", src)
+				fmt.Fprintln(w, "EVAL-OPT FAIL:", err, "\n", src)
 				fails++
 				break
 			}
@@ -116,22 +132,19 @@ func main() {
 				sbm[r[0]] = true
 			}
 			if len(sa) != len(sbm) {
-				fmt.Printf("MISMATCH trial %d round %d:\n%s\noptimized:\n%s\nbefore=%v after=%v\n",
+				fmt.Fprintf(w, "MISMATCH trial %d round %d:\n%s\noptimized:\n%s\nbefore=%v after=%v\n",
 					trial, round, src, res.Program, sa, sbm)
 				fails++
 				break
 			}
 			for k := range sa {
 				if !sbm[k] {
-					fmt.Printf("MISSING %s trial %d:\n%s\noptimized:\n%s\n", k, trial, src, res.Program)
+					fmt.Fprintf(w, "MISSING %s trial %d:\n%s\noptimized:\n%s\n", k, trial, src, res.Program)
 					fails++
 					break
 				}
 			}
 		}
 	}
-	fmt.Printf("campaign complete: %d trials, %d failures\n", trials, fails)
-	if fails > 0 {
-		os.Exit(1)
-	}
+	return fails
 }

@@ -85,7 +85,6 @@ var (
 const (
 	SemiNaive = engine.SemiNaive
 	Naive     = engine.Naive
-	Parallel  = engine.Parallel
 )
 
 // Parse parses a Datalog source text: rules, an optional "?- goal." query,

@@ -46,7 +46,6 @@ var allStrategies = []struct {
 }{
 	{"naive", Options{Strategy: Naive}},
 	{"seminaive", Options{Strategy: SemiNaive}},
-	{"parallel", Options{Strategy: Parallel, Workers: 4}},
 }
 
 // TestCancelBoundedLatency is the tentpole's latency bound: cancel a

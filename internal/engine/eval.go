@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"existdlog/internal/ast"
@@ -30,13 +28,6 @@ const (
 	// Naive re-evaluates every rule against the full relations each
 	// iteration. Kept for cross-checking the semi-naive implementation.
 	Naive
-	// Parallel is SemiNaive with the rule versions of each pass fanned out
-	// over a worker pool. Workers join against the pass's frozen relation
-	// state and emit into private buffers; the buffers are merged at the
-	// pass barrier in a fixed (rule, occurrence, emission) order, so
-	// answers, relation insertion order, and Stats are identical to
-	// SemiNaive on every input — only wall-clock time differs.
-	Parallel
 )
 
 // Options configures an evaluation.
@@ -49,8 +40,8 @@ type Options struct {
 	// program, the rule defining it can also be discarded after B2 is
 	// shown true"). With the cut enabled, non-query derived relations may
 	// legitimately be under-computed; query answers are unaffected. Cut
-	// decisions are taken only at pass barriers, never mid-pass, so they
-	// are identical under sequential and parallel evaluation.
+	// decisions are taken only at pass barriers, never mid-pass, against
+	// the relation state the whole pass merged.
 	BooleanCut bool
 	// MaxIterations bounds the fixpoint (default 1<<20).
 	MaxIterations int
@@ -69,20 +60,15 @@ type Options struct {
 	// are propagated through the chosen prefix to precompute each probe's
 	// bound-column index signature, and versions whose body provably joins
 	// empty (a positive relation or delta with zero live tuples) are
-	// skipped before the fan-out. Answers are unaffected; join probe
+	// skipped before the pass runs. Answers are unaffected; join probe
 	// counts usually drop on badly ordered rules.
 	ReorderJoins bool
-	// Workers caps the goroutine pool used by the Parallel strategy
-	// (0 means runtime.GOMAXPROCS(0)). Other strategies ignore it, and
-	// results never depend on it.
-	Workers int
 	// Trace collects per-rule and per-pass evaluation metrics into
 	// Result.Trace: firings, emitted tuples, duplicates, join probes,
 	// delta sizes, and boolean-cut events. Mid-pass counters accumulate in
-	// lock-free per-worker shards merged only at pass barriers, so the
-	// metrics are deterministic and Parallel reproduces SemiNaive's
-	// exactly. Disabled (the default), the evaluation hot path performs no
-	// extra allocations — only nil checks.
+	// the runner's shard, drained only at pass barriers, so the metrics
+	// are deterministic. Disabled (the default), the evaluation hot path
+	// performs no extra allocations — only nil checks.
 	Trace bool
 	// PassTimes additionally records, in Result.PassTimes, the wall-clock
 	// offset (from evaluation start, real monotonic clock) at which each
@@ -111,17 +97,15 @@ var ErrDeadline = errors.New("engine: evaluation deadline exceeded")
 // failpoint build tag; see internal/failpoint). The catalog is documented
 // in DESIGN.md §7.
 const (
-	// FPPass fires at every pass barrier, before the pass fans out.
+	// FPPass fires at every pass barrier, before the pass runs.
 	FPPass = "engine/pass"
 	// FPMerge fires at the merge barrier, before buffered emissions land.
 	FPMerge = "engine/merge"
 	// FPInsert fires on every derived-fact insert during a merge.
 	FPInsert = "engine/insert"
-	// FPSpawn fires before each parallel worker goroutine is spawned.
-	FPSpawn = "engine/spawn"
-	// FPWorker fires inside rule-version evaluation, on the worker
-	// goroutine under the Parallel strategy — the place to inject worker
-	// panics and mid-pass delays.
+	// FPWorker fires inside rule-version evaluation, before each rule
+	// version runs — the place to inject evaluation panics and mid-pass
+	// delays.
 	FPWorker = "engine/worker"
 )
 
@@ -134,8 +118,7 @@ const ctxCheckInterval = 1024
 // Stats are the evaluation counters reported by the benchmarks. The paper
 // argues arity reduction cuts both the facts produced and the duplicate
 // elimination cost, so both are counted explicitly. The counters are
-// deterministic for every strategy, and Parallel reproduces SemiNaive's
-// counters exactly.
+// deterministic for every strategy.
 type Stats struct {
 	Iterations    int   // fixpoint passes
 	FactsDerived  int   // distinct new facts added to derived relations
@@ -233,8 +216,7 @@ type rulePlan struct {
 	// vplans caches the greedy join plan per delta occurrence (-1 for
 	// the naive/startup version) for one pass epoch; planEpoch records
 	// which. The evaluator bumps its epoch at every pass barrier, so
-	// stale entries are recomputed from live cardinalities, and the cache
-	// is filled before a pass fans out, so workers only read it.
+	// stale entries are recomputed from live cardinalities.
 	vplans    map[int]*versionPlan
 	planEpoch uint64
 }
@@ -297,9 +279,8 @@ type evaluator struct {
 	next    map[string]*Relation
 	stats   Stats
 	prov    map[string]*provSet
-	// run is the runner used by the sequential evaluation paths (naive
-	// passes, Update, Retract); parallel passes build one runner per
-	// worker instead.
+	// run holds the join recursion's scratch state, shared by every
+	// evaluation path (passes, naive iterations, Update, Retract).
 	run       runner
 	baseFacts int
 	queryKey  string
@@ -323,14 +304,10 @@ type evaluator struct {
 	passTimes []time.Duration
 }
 
-// runner is the per-goroutine evaluation state: the join recursion's
-// scratch buffers plus the counters it bumps. Sequential paths share the
-// evaluator's embedded runner; a Parallel pass gives every worker a private
-// one so rule versions can evaluate concurrently against the frozen
-// relations without sharing any mutable state.
+// runner is the join recursion's evaluation state: its scratch buffers
+// plus the trace shard and cancellation budget it counts down.
 type runner struct {
 	ev        *evaluator
-	stats     *Stats
 	slotVals  []int32
 	slotBound []bool
 	bodyFacts []FactRef
@@ -341,9 +318,9 @@ type runner struct {
 	// either copies it (arena insert, buffered append) or reads it before
 	// returning, so one buffer serves every emission of a rule version.
 	headBuf Tuple
-	// shard holds this goroutine's per-rule trace counters (firings, join
+	// shard holds the mid-pass per-rule trace counters (firings, join
 	// probes); nil when tracing is disabled. It is drained into the
-	// collector only at pass barriers, on the coordinating goroutine.
+	// collector only at pass barriers.
 	shard *trace.Shard
 	// budget counts down mid-pass work units to the next cancellation
 	// check (see ctxCheckInterval).
@@ -417,8 +394,8 @@ func incompleteReason(err error) string {
 func (ev *evaluator) finish(evalErr error) (*Result, error) {
 	res := &Result{DB: ev.out, Stats: ev.stats, prov: ev.prov, PassTimes: ev.passTimes}
 	if ev.tc != nil {
-		// Final drain of the sequential runner's shard (Update/Retract
-		// loops and naive tails that did not end on a traced barrier).
+		// Final drain of the runner's shard (Update/Retract loops and
+		// naive tails that did not end on a traced barrier).
 		ev.tc.Merge(ev.run.shard)
 		res.Trace = ev.tc.Metrics()
 	}
@@ -430,7 +407,7 @@ func (ev *evaluator) finish(evalErr error) (*Result, error) {
 }
 
 // initTrace arms metrics collection when Options.Trace is set: one
-// collector for the run plus the sequential runner's counter shard.
+// collector for the run plus the runner's counter shard.
 // Everything tracing allocates happens here and at pass barriers; with
 // Trace off ev.tc stays nil and every instrumentation site is a single
 // nil comparison.
@@ -465,11 +442,9 @@ func (ev *evaluator) deltaSizes() []trace.DeltaSize {
 }
 
 // tracedPass is runPass plus the pass-barrier metrics work: the delta
-// snapshot is taken before the fan-out, the pass record lands after the
+// snapshot is taken before the pass runs, the pass record lands after the
 // merge (aborted passes included, with whatever they added before the
-// abort), and the sequential runner's shard is drained — the
-// merge-at-barrier invariant that keeps Parallel metrics bit-identical to
-// SemiNaive's.
+// abort), and the runner's shard is drained.
 func (ev *evaluator) tracedPass(vs []version, collectNext bool, stratum int) error {
 	if ev.tc == nil {
 		err := ev.runPass(vs, collectNext)
@@ -576,7 +551,7 @@ func EvalContext(ctx context.Context, p *ast.Program, edb *Database, opt Options
 		next:     make(map[string]*Relation),
 		queryKey: p.Query.Key(),
 	}
-	ev.run = runner{ev: ev, stats: &ev.stats}
+	ev.run = runner{ev: ev}
 	ev.baseFacts = ev.out.TotalFacts()
 	if opt.PassTimes {
 		ev.passClock = time.Now()
@@ -711,10 +686,9 @@ func (ev *evaluator) compile(p *ast.Program) error {
 		plan.slots = len(slots)
 		ev.plans = append(ev.plans, plan)
 	}
-	// Materialize every non-builtin body relation up front. Relation
-	// lookup during a pass is then read-only, which the Parallel strategy
-	// relies on: workers share the database and must not race to create
-	// missing base relations. Existing relations are left untouched.
+	// Materialize every non-builtin body relation up front, so relation
+	// lookup during a pass is read-only. Existing relations are left
+	// untouched.
 	for _, plan := range ev.plans {
 		for i := range plan.body {
 			lp := &plan.body[i]
@@ -756,8 +730,8 @@ func (ev *evaluator) relationFor(lp *literalPlan, deltaOcc int) *Relation {
 		// Base predicate with no facts: a shared immutable empty relation
 		// of the right arity. (Unreachable after compile's materialization
 		// pass; kept as a safety net for direct callers.) The fallback must
-		// NOT create the relation in ev.out: relationFor runs on Parallel
-		// worker goroutines, and workers never write the shared database.
+		// NOT create the relation in ev.out: a pass only reads the database
+		// it is joining against.
 		return emptyRelation(len(lp.args))
 	}
 	return r
@@ -785,10 +759,9 @@ func emptyRelation(arity int) *Relation {
 
 // planVersion returns (computing and caching if needed) the join plan for
 // a rule version at the current pass epoch, or nil when reordering is
-// off. Plans for a pass are computed at its barrier, on the coordinating
-// goroutine, before any fan-out: workers only ever read the cache, and a
-// plan's live sizes are stable for the whole pass (inserts happen only at
-// merge barriers).
+// off. Plans for a pass are computed at its barrier, before any version
+// runs, and a plan's live sizes are stable for the whole pass (inserts
+// happen only at merge barriers).
 func (ev *evaluator) planVersion(plan *rulePlan, deltaOcc int) *versionPlan {
 	if !ev.opt.ReorderJoins {
 		return nil
@@ -1058,7 +1031,7 @@ func (r *runner) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactR
 			// Negation as failure against the finished lower-stratum
 			// relation. Safety has bound every named variable; remaining
 			// unbound positions are anonymous wildcards.
-			r.stats.JoinProbes++
+			r.ev.stats.JoinProbes++
 			if r.shard != nil {
 				r.shard.Probes[plan.idx]++
 			}
@@ -1077,7 +1050,7 @@ func (r *runner) evalRule(plan *rulePlan, deltaOcc int, emit func(Tuple, []FactR
 			}
 			return nil
 		}
-		r.stats.JoinProbes++
+		r.ev.stats.JoinProbes++
 		if r.shard != nil {
 			r.shard.Probes[plan.idx]++
 		}
@@ -1210,8 +1183,8 @@ func (r *runner) evalBuiltin(plan *rulePlan, lp *literalPlan, step int, vals []i
 }
 
 // evalVersion runs one rule version to completion, buffering every head
-// derivation instead of inserting it. The buffer is merged later, on the
-// coordinating goroutine, in version order.
+// derivation instead of inserting it. The buffer is merged at the pass
+// barrier, in version order.
 func (r *runner) evalVersion(plan *rulePlan, occ int) (emitBuf, error) {
 	buf := emitBuf{w: len(plan.head)}
 	track := r.ev.opt.TrackProvenance
@@ -1230,10 +1203,9 @@ func (r *runner) evalVersion(plan *rulePlan, occ int) (emitBuf, error) {
 }
 
 // runVersion is evalVersion behind the engine's fault bulkhead: a panic
-// during rule-version evaluation (a bug, or an injected FPWorker panic on
-// a parallel worker) is recovered into a stack-carrying *ierr.InternalError
-// instead of killing the goroutine, so the pass fails like any other
-// errored version — surfaced once, workers drained, partial result kept.
+// during rule-version evaluation (a bug, or an injected FPWorker panic) is
+// recovered into a stack-carrying *ierr.InternalError, so the pass fails
+// like any other errored version — surfaced once, partial result kept.
 func (r *runner) runVersion(plan *rulePlan, occ int) (buf emitBuf, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -1310,27 +1282,18 @@ func (ev *evaluator) insertDerived(plan *rulePlan, head Tuple, just []FactRef, c
 	return nil
 }
 
-// workers returns the size of the Parallel strategy's worker pool.
-func (ev *evaluator) workers() int {
-	if ev.opt.Workers > 0 {
-		return ev.opt.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // runPass evaluates the given rule versions against the pass's frozen
 // relation state, buffering every derivation, then merges the buffers in
-// (rule, occurrence, emission) order on the calling goroutine. Relations
-// mutate only during the merge, so sequential and parallel execution read
-// identical states and produce bit-identical results, insertion orders,
-// and Stats; the worker pool only changes wall-clock time. collectNext
-// routes genuinely new facts into the next delta.
+// (rule, occurrence, emission) order. Relations mutate only during the
+// merge, so every version of a pass reads the same state whatever the
+// version order, and the boolean cut decides only on merged passes.
+// collectNext routes genuinely new facts into the next delta.
 func (ev *evaluator) runPass(versions []version, collectNext bool) error {
 	if len(versions) == 0 {
 		return nil
 	}
 	// Pass barrier: cancellation is always checked here, and the FPPass
-	// failpoint can abort a build under test before the pass fans out.
+	// failpoint can abort a build under test before the pass runs.
 	if err := ev.checkCtx(); err != nil {
 		return err
 	}
@@ -1338,13 +1301,8 @@ func (ev *evaluator) runPass(versions []version, collectNext bool) error {
 		return err
 	}
 	// Plan barrier: bump the epoch and recompute every version's join plan
-	// from the live relation and delta cardinalities, up front on this
-	// goroutine — workers then only read the cache, and the plan is the
-	// same one sequential evaluation would compute (sizes are stable in a
-	// pass). Versions whose plan proves the join empty are dropped here,
-	// before the fan-out, so sequential and parallel runs skip
-	// identically; for the rest, the index buckets their probes will use
-	// are prewarmed while no worker is running.
+	// from the live relation and delta cardinalities (sizes are stable in
+	// a pass). Versions whose plan proves the join empty are dropped here.
 	ev.planEpoch++
 	if ev.opt.ReorderJoins {
 		kept := make([]version, 0, len(versions))
@@ -1352,114 +1310,31 @@ func (ev *evaluator) runPass(versions []version, collectNext bool) error {
 			plan := ev.plans[v.pi]
 			vp := ev.planVersion(plan, v.occ)
 			ev.recordOrder(plan, v.occ, vp)
-			if vp.empty {
-				continue
-			}
-			kept = append(kept, v)
-			for k, li := range vp.order {
-				lp := &plan.body[li]
-				if lp.builtin == notBuiltin && len(vp.boundCols[k]) > 0 {
-					ev.relationFor(lp, v.occ).EnsureIndex(vp.boundCols[k])
-				}
+			if !vp.empty {
+				kept = append(kept, v)
 			}
 		}
 		versions = kept
 	}
-	bufs := make([]emitBuf, len(versions))
-	errs := make([]error, len(versions))
-	workers := 1
-	if ev.opt.Strategy == Parallel {
-		workers = ev.workers()
-		if workers > len(versions) {
-			workers = len(versions)
+	bufs := make([]emitBuf, 0, len(versions))
+	var runErr error
+	for _, v := range versions {
+		buf, err := ev.run.runVersion(ev.plans[v.pi], v.occ)
+		if err != nil {
+			runErr = err // the pass fails; later versions are moot
+			break
 		}
-	}
-	if workers <= 1 {
-		r := &ev.run
-		for vi, v := range versions {
-			bufs[vi], errs[vi] = r.runVersion(ev.plans[v.pi], v.occ)
-			if errs[vi] != nil {
-				break // the pass fails; later versions are moot
-			}
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		// failed flips on the first errored version; the other workers
-		// finish their current version and drain, rather than burning CPU
-		// on a pass whose result is already an error. In fault-free runs
-		// it never flips, so the fan-out behaves exactly as before.
-		var failed atomic.Bool
-		local := make([]Stats, workers)
-		// Per-worker trace shards, merged below at the barrier alongside
-		// the aggregate counters — lock-free while the pass runs.
-		var shards []*trace.Shard
-		if ev.tc != nil {
-			shards = make([]*trace.Shard, workers)
-			for w := range shards {
-				shards[w] = ev.tc.NewShard()
-			}
-		}
-		spawnErr := error(nil)
-		spawned := 0
-		for w := 0; w < workers; w++ {
-			if err := failpoint.Inject(FPSpawn); err != nil {
-				spawnErr = err
-				break
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				r := runner{ev: ev, stats: &local[w]}
-				if shards != nil {
-					r.shard = shards[w]
-				}
-				for {
-					if failed.Load() || ev.checkCtx() != nil {
-						return
-					}
-					vi := int(cursor.Add(1)) - 1
-					if vi >= len(versions) {
-						return
-					}
-					v := versions[vi]
-					bufs[vi], errs[vi] = r.runVersion(ev.plans[v.pi], v.occ)
-					if errs[vi] != nil {
-						failed.Store(true)
-						return
-					}
-				}
-			}(w)
-			spawned++
-		}
-		wg.Wait()
-		// Probe counts are additive, so the sum over workers equals the
-		// sequential total regardless of how versions were distributed —
-		// and the same holds per rule, so the trace shards merge here too
-		// (on aborted passes as well, keeping partial-run metrics in step
-		// with partial-run Stats).
-		for w := 0; w < spawned; w++ {
-			ev.stats.JoinProbes += local[w].JoinProbes
-			if shards != nil {
-				ev.tc.Merge(shards[w])
-			}
-		}
-		if spawnErr != nil {
-			return spawnErr
-		}
+		bufs = append(bufs, buf)
 	}
 	// Merge barrier: versions in order, emissions in the order their
-	// version produced them. The first errored version aborts the
-	// evaluation (same error sequential execution would surface; under
-	// faults, the first failure in version order, surfaced exactly once).
+	// version produced them. A failed version aborts the evaluation after
+	// the versions before it have merged, so the partial result keeps
+	// everything they soundly derived.
 	if err := failpoint.Inject(FPMerge); err != nil {
 		return err
 	}
-	for vi, v := range versions {
-		if errs[vi] != nil {
-			return errs[vi]
-		}
-		plan := ev.plans[v.pi]
+	for vi := range bufs {
+		plan := ev.plans[versions[vi].pi]
 		buf := &bufs[vi]
 		var just []FactRef
 		for i := 0; i < buf.n; i++ {
@@ -1472,8 +1347,11 @@ func (ev *evaluator) runPass(versions []version, collectNext bool) error {
 			}
 		}
 	}
-	// A cancellation that arrived while workers were finishing is reported
-	// at the latest here, keeping abort latency within one pass tail.
+	if runErr != nil {
+		return runErr
+	}
+	// A cancellation that arrived during the merge is reported at the
+	// latest here, keeping abort latency within one pass tail.
 	return ev.checkCtx()
 }
 
@@ -1560,12 +1438,11 @@ func deltaKey(plan *rulePlan, occ int) string {
 	return ""
 }
 
-// runSemiNaiveStratum runs the SemiNaive/Parallel fixpoint for one
-// stratum. Every pass (the startup pass and each delta iteration) is a
-// barrier: rule versions read the relation state frozen at the start of
-// the pass, their emissions merge at the end, and boolean-cut retirement
-// is decided only between passes — which is what makes the parallel
-// fan-out race-free and bit-identical to sequential execution.
+// runSemiNaiveStratum runs the SemiNaive fixpoint for one stratum. Every
+// pass (the startup pass and each delta iteration) is a barrier: rule
+// versions read the relation state frozen at the start of the pass, their
+// emissions merge at the end, and boolean-cut retirement is decided only
+// between passes (Section 3.1).
 func (ev *evaluator) runSemiNaiveStratum(level int) error {
 	// Startup pass: evaluate this stratum's rules against the full
 	// relations (which contain lower strata and any derived-predicate
@@ -1625,8 +1502,7 @@ func (ev *evaluator) runSemiNaiveStratum(level int) error {
 
 // applyCut retires boolean rules whose head already holds and cascades to
 // rules that now feed nothing (Section 3.1). It is only ever called at
-// pass barriers, so retirement decisions are identical under sequential
-// and parallel evaluation.
+// pass barriers, so a rule version never sees a retirement mid-pass.
 func (ev *evaluator) applyCut() {
 	if !ev.opt.BooleanCut {
 		return

@@ -48,13 +48,11 @@ func TestInjectedErrorPerSite(t *testing.T) {
 	}
 	fullRel, _ := full.DB.Lookup("t")
 	// Sites reached per strategy: Naive evaluates rules inline (no version
-	// buffers, no workers), so only the pass barrier and the insert path
-	// exist there; SemiNaive runs versions and merges on one goroutine;
-	// Parallel adds the spawn site.
+	// buffers), so only the pass barrier and the insert path exist there;
+	// SemiNaive runs buffered versions and merges them at the barrier.
 	sitesFor := map[Strategy][]string{
 		Naive:     {FPPass, FPInsert},
 		SemiNaive: {FPPass, FPMerge, FPInsert, FPWorker},
-		Parallel:  {FPPass, FPMerge, FPInsert, FPSpawn, FPWorker},
 	}
 	for _, s := range allStrategies {
 		for _, site := range sitesFor[s.opt.Strategy] {
@@ -62,14 +60,8 @@ func TestInjectedErrorPerSite(t *testing.T) {
 				defer checkNoLeakedGoroutines(t)()
 				defer failpoint.Reset()
 				boom := fmt.Errorf("boom at %s", site)
-				// Fire on a later hit so some sound work lands first. The
-				// spawn site is hit at most workers× per pass and only in
-				// passes wide enough to fan out, so it fires earlier.
-				after := 3
-				if site == FPSpawn {
-					after = 2
-				}
-				failpoint.EnableError(site, boom, after)
+				// Fire on a later hit so some sound work lands first.
+				failpoint.EnableError(site, boom, 3)
 				res, err := EvalContext(context.Background(), p, db, s.opt)
 				if failpoint.Hits(site) == 0 {
 					t.Fatalf("site %s was never reached", site)
@@ -107,8 +99,8 @@ func TestInjectedErrorPerSite(t *testing.T) {
 }
 
 // TestErrorOnEveryHitSingleSurface floods the worker site — the error
-// fires on every rule version across 8 workers — and pins that exactly
-// one error comes back (the first in version order), with a clean drain.
+// fires on every rule version — and pins that exactly one error comes
+// back (the first in version order), with a clean drain.
 func TestErrorOnEveryHitSingleSurface(t *testing.T) {
 	defer checkNoLeakedGoroutines(t)()
 	defer failpoint.Reset()
@@ -116,9 +108,9 @@ func TestErrorOnEveryHitSingleSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("every worker fails")
+	boom := errors.New("every version fails")
 	failpoint.EnableError(FPWorker, boom, 1)
-	res, err := EvalContext(context.Background(), p, faultDB(60), Options{Strategy: Parallel, Workers: 8})
+	res, err := EvalContext(context.Background(), p, faultDB(60), Options{Strategy: SemiNaive})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected error", err)
 	}
@@ -130,10 +122,10 @@ func TestErrorOnEveryHitSingleSurface(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicBecomesInternalError injects a panic on a parallel
-// worker: the bulkhead must catch it, convert it to a stack-carrying
-// *ierr.InternalError, drain the pool, and return a partial result —
-// never crash the process or deadlock the pass barrier.
+// TestWorkerPanicBecomesInternalError injects a panic into rule-version
+// evaluation: the bulkhead must catch it, convert it to a stack-carrying
+// *ierr.InternalError, and return a partial result — never crash the
+// process or skip the pass barrier.
 func TestWorkerPanicBecomesInternalError(t *testing.T) {
 	for _, s := range allStrategies {
 		if s.opt.Strategy == Naive {
@@ -168,7 +160,7 @@ func TestWorkerPanicBecomesInternalError(t *testing.T) {
 	}
 }
 
-// TestBoundaryRescueCatchesPanic: a panic outside the worker bulkhead
+// TestBoundaryRescueCatchesPanic: a panic outside the version bulkhead
 // (here: the naive pass barrier) is recovered at the API boundary into a
 // *ierr.InternalError rather than escaping to the caller.
 func TestBoundaryRescueCatchesPanic(t *testing.T) {
@@ -189,9 +181,9 @@ func TestBoundaryRescueCatchesPanic(t *testing.T) {
 	}
 }
 
-// TestDelayedWorkerHitsDeadline slows every worker down and runs under a
-// deadline: the injected latency must not defeat cancellation — the pass
-// drains and ErrDeadline surfaces.
+// TestDelayedWorkerHitsDeadline slows every rule version down and runs
+// under a deadline: the injected latency must not defeat cancellation —
+// the pass drains and ErrDeadline surfaces.
 func TestDelayedWorkerHitsDeadline(t *testing.T) {
 	defer checkNoLeakedGoroutines(t)()
 	defer failpoint.Reset()
@@ -203,12 +195,12 @@ func TestDelayedWorkerHitsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := EvalContext(ctx, p, faultDB(120), Options{Strategy: Parallel, Workers: 4})
+	res, err := EvalContext(ctx, p, faultDB(120), Options{Strategy: SemiNaive})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
 	// Bound is generous: the deadline plus one in-flight delayed version
-	// per worker plus scheduling slack.
+	// plus scheduling slack.
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("drain after deadline took %v", elapsed)
 	}
@@ -217,29 +209,9 @@ func TestDelayedWorkerHitsDeadline(t *testing.T) {
 	}
 }
 
-// TestSpawnFaultFallsBackCleanly: failing the worker spawn site must not
-// deadlock the pass (the pass returns the spawn error after the already
-// spawned workers drain).
-func TestSpawnFaultFallsBackCleanly(t *testing.T) {
-	defer checkNoLeakedGoroutines(t)()
-	defer failpoint.Reset()
-	p, err := parser.ParseProgram(faultProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("cannot spawn")
-	failpoint.EnableError(FPSpawn, boom, 2) // first worker spawns, second fails
-	res, err := EvalContext(context.Background(), p, faultDB(60), Options{Strategy: Parallel, Workers: 8})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want spawn error", err)
-	}
-	if res == nil || !res.Partial {
-		t.Fatalf("want partial result, got %+v", res)
-	}
-}
-
 // TestNoFaultsBitIdentical: with the failpoint build active but nothing
-// armed, Parallel remains bit-identical to SemiNaive — the instrumented
+// armed, SemiNaive reaches the full fixpoint and derives the same facts,
+// in the same order, with the same Stats on every run — the instrumented
 // build changes nothing unless a fault is injected.
 func TestNoFaultsBitIdentical(t *testing.T) {
 	failpoint.Reset()
@@ -248,18 +220,21 @@ func TestNoFaultsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := faultDB(80)
-	seq, err := Eval(p, db, Options{Strategy: SemiNaive})
+	first, err := Eval(p, db, Options{Strategy: SemiNaive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Eval(p, db, Options{Strategy: Parallel, Workers: 6})
+	again, err := Eval(p, db, Options{Strategy: SemiNaive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Stats != par.Stats {
-		t.Fatalf("stats diverge under failpoint build:\nseq %+v\npar %+v", seq.Stats, par.Stats)
+	if first.Partial || first.Stats.FactsDerived != 80*81/2 {
+		t.Fatalf("unarmed build did not reach the fixpoint: %+v", first.Stats)
 	}
-	a, b := orderedFacts(seq, "t"), orderedFacts(par, "t")
+	if first.Stats != again.Stats {
+		t.Fatalf("stats diverge under failpoint build:\nfirst %+v\nagain %+v", first.Stats, again.Stats)
+	}
+	a, b := orderedFacts(first, "t"), orderedFacts(again, "t")
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatal("insertion order diverges under failpoint build")
 	}

@@ -25,7 +25,7 @@ func PlanPreview(p *ast.Program, edb *Database) ([]trace.VersionOrder, error) {
 		next:     make(map[string]*Relation),
 		queryKey: p.Query.Key(),
 	}
-	ev.run = runner{ev: ev, stats: &ev.stats}
+	ev.run = runner{ev: ev}
 	ev.initTrace(p)
 	if err := ev.compile(p); err != nil {
 		return nil, err

@@ -64,7 +64,7 @@ func RetractContext(ctx context.Context, p *ast.Program, prev *Result, removed *
 		next:     make(map[string]*Relation),
 		queryKey: p.Query.Key(),
 	}
-	ev.run = runner{ev: ev, stats: &ev.stats}
+	ev.run = runner{ev: ev}
 	if opt.TrackProvenance {
 		ev.prov = make(map[string]*provSet)
 		for k, m := range prev.prov {

@@ -24,7 +24,6 @@ func TestTracePartialConsistencyUnderFaults(t *testing.T) {
 	sitesFor := map[Strategy][]string{
 		Naive:     {FPPass, FPInsert},
 		SemiNaive: {FPPass, FPMerge, FPInsert, FPWorker},
-		Parallel:  {FPPass, FPMerge, FPInsert, FPSpawn, FPWorker},
 	}
 	for _, s := range allStrategies {
 		for _, site := range sitesFor[s.opt.Strategy] {

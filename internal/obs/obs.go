@@ -5,7 +5,7 @@
 // Prometheus text exposition (prom.go).
 //
 // The registry mirrors the shard design of internal/trace one level up:
-// inside one evaluation, per-worker shards drain into a trace.Collector
+// inside one evaluation, the mid-pass shard drains into a trace.Collector
 // at pass barriers; across evaluations, each finished query's collector
 // output drains into this registry. All registry state is atomics — an
 // ObserveQuery on one goroutine never blocks a scrape on another, and a

@@ -19,11 +19,11 @@ func hasOrders(out map[string]any) bool {
 	return false
 }
 
-// TestQueryPlannerDefaultOnAndOverride: the runtime join planner is on
-// by default for served queries, its per-pass orders ride along in the
-// trace response, and the per-request "reorder" override compiles into
-// a separate cache entry (never cross-contaminating the default one)
-// while returning the same answers.
+// TestQueryPlannerDefaultOnAndOverride: the runtime join planner is
+// always on for served queries and its per-pass orders ride along in the
+// trace response. A request still carrying the removed "reorder" field is
+// decoded as before and the field ignored: the planner stays on and the
+// goal hits the one cache entry its shape has.
 func TestQueryPlannerDefaultOnAndOverride(t *testing.T) {
 	_, ts := newTestServer(t, Config{Source: chainSrc})
 
@@ -35,49 +35,17 @@ func TestQueryPlannerDefaultOnAndOverride(t *testing.T) {
 		t.Fatalf("default (planner-on) trace has no per-pass orders: %v", on["passes"])
 	}
 
-	// Opting out is a different compiled program: first such request must
-	// be a cache miss, and its answers must match the planner's.
-	_, off := postQuery(t, ts.URL, `{"goal": "a(X,Y)", "reorder": false, "trace": true}`)
-	if off["cached"].(bool) {
-		t.Error("planner-off request was served from the planner-on cache entry")
+	resp, stray := postQuery(t, ts.URL, `{"goal": "a(X,Y)", "reorder": false, "trace": true}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("stray reorder field: status = %d, body %v", resp.StatusCode, stray)
 	}
-	if hasOrders(off) {
-		t.Errorf("planner-off trace carries order records: %v", off["passes"])
+	if !stray["cached"].(bool) {
+		t.Error("a stray reorder field compiled a second cache entry")
 	}
-	if fmt.Sprint(on["answers"]) != fmt.Sprint(off["answers"]) {
-		t.Errorf("planner changed the answers\non:  %v\noff: %v", on["answers"], off["answers"])
+	if !hasOrders(stray) {
+		t.Errorf("a stray reorder field turned the planner off: %v", stray["passes"])
 	}
-
-	// Each setting then hits its own cache entry.
-	_, on2 := postQuery(t, ts.URL, `{"goal": "a(X,Y)"}`)
-	if !on2["cached"].(bool) {
-		t.Error("second planner-on query missed the cache")
-	}
-	_, off2 := postQuery(t, ts.URL, `{"goal": "a(X,Y)", "reorder": false}`)
-	if !off2["cached"].(bool) {
-		t.Error("second planner-off query missed the cache")
-	}
-}
-
-// TestServeNoReorderConfig: -no-reorder flips the default off for the
-// whole server, and the per-request override can still turn the planner
-// back on for one query.
-func TestServeNoReorderConfig(t *testing.T) {
-	_, ts := newTestServer(t, Config{Source: chainSrc, NoReorder: true})
-
-	_, off := postQuery(t, ts.URL, `{"goal": "a(X,Y)", "trace": true}`)
-	if hasOrders(off) {
-		t.Errorf("-no-reorder server still planned: %v", off["passes"])
-	}
-
-	_, on := postQuery(t, ts.URL, `{"goal": "a(X,Y)", "reorder": true, "trace": true}`)
-	if on["cached"].(bool) {
-		t.Error("override request reused the planner-off cache entry")
-	}
-	if !hasOrders(on) {
-		t.Fatal("per-request reorder:true did not engage the planner")
-	}
-	if fmt.Sprint(on["answers"]) != fmt.Sprint(off["answers"]) {
-		t.Errorf("override changed the answers\non:  %v\noff: %v", on["answers"], off["answers"])
+	if fmt.Sprint(on["answers"]) != fmt.Sprint(stray["answers"]) {
+		t.Errorf("a stray reorder field changed the answers\non:    %v\nstray: %v", on["answers"], stray["answers"])
 	}
 }

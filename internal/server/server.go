@@ -71,13 +71,6 @@ type Config struct {
 	// every derived goal per query instead of reading the store's
 	// materialized fixpoint: it is the optimizer ablation.
 	NoOptimize bool
-	// Parallel evaluates with the parallel semi-naive strategy.
-	Parallel bool
-	// NoReorder disables the runtime join planner (per-pass greedy
-	// reordering from live cardinalities), which is on by default for
-	// query evaluation and store maintenance. Requests can override per
-	// query with the "reorder" field.
-	NoReorder bool
 	// DefaultTimeout bounds queries that do not request a timeout
 	// (0 = unbounded).
 	DefaultTimeout time.Duration
@@ -194,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 		WALDir:        cfg.WALDir,
 		SnapshotEvery: cfg.SnapshotEvery,
 		MaxFacts:      cfg.MaxFacts,
-		ReorderJoins:  !cfg.NoReorder,
+		ReorderJoins:  true,
 		Registry:      reg,
 		Logger:        logger,
 		Now:           now,
@@ -403,18 +396,9 @@ func (s *Server) checkArity(goal ast.Atom) error {
 }
 
 // compile returns the (possibly optimized) program for one goal, cached
-// by the goal's canonical shape plus the planner setting the evaluation
-// will run with: a per-request reorder override must never be served an
-// entry cached under the other setting (today the compiled program is
-// planner-independent, but the key guarantees no cross-contamination as
-// the planner becomes binding-pattern-aware).
-func (s *Server) compile(goal ast.Atom, reorder bool) (*compiled, bool, error) {
+// by the goal's canonical shape.
+func (s *Server) compile(goal ast.Atom) (*compiled, bool, error) {
 	key := goalKey(goal)
-	if reorder {
-		key += ",plan=on"
-	} else {
-		key += ",plan=off"
-	}
 	if c, ok := s.cache.Load(key); ok {
 		s.reg.CacheHit()
 		return c.(*compiled), true, nil
@@ -448,10 +432,6 @@ type queryRequest struct {
 	// response, plus the per-pass records with the join orders the
 	// runtime planner chose and the cardinalities that justified them.
 	Trace bool `json:"trace"`
-	// Reorder overrides the server's join-planner default for this query:
-	// true forces the planner on, false forces it off, absent uses the
-	// server setting (on unless -no-reorder).
-	Reorder *bool `json:"reorder,omitempty"`
 }
 
 // statsJSON mirrors engine.Stats with stable JSON names.
@@ -726,20 +706,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	v := s.store.Current()
 	path := s.readPath(goal, v)
 
-	// The join planner is on by default; -no-reorder flips the default
-	// and the request's "reorder" field overrides either way.
-	reorder := !s.cfg.NoReorder
-	if req.Reorder != nil {
-		reorder = *req.Reorder
-	}
-
 	// Only the evaluated path runs a program, so only it compiles one.
 	var c *compiled
 	cached := false
 	goalText := goal.String()
 	if path == pathEvaluated {
 		compileSpan := tb.Start("compile")
-		c, cached, err = s.compile(goal, reorder)
+		c, cached, err = s.compile(goal)
 		if err != nil {
 			fail(errStatus(err), err)
 			return
@@ -814,6 +787,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	evalSpan := tb.Start("eval")
 	tb.Attr(evalSpan, "path", path)
+	if tb != nil {
+		tb.Attr(evalSpan, "seq", strconv.FormatUint(v.Seq, 10))
+	}
 	var res *engine.Result
 	var answers [][]string
 	var evalErr error
@@ -824,10 +800,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Trace:        true,
 			MaxFacts:     s.cfg.MaxFacts,
 			PassTimes:    tb != nil,
-			ReorderJoins: reorder,
-		}
-		if s.cfg.Parallel {
-			opts.Strategy = existdlog.Parallel
+			ReorderJoins: true,
 		}
 		res, evalErr = existdlog.EvalContext(evalCtx, c.prog, v.EDB, opts)
 		if res != nil {
@@ -1084,7 +1057,7 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request) {
 		Req: id, Trace: tb.TraceID(),
 	})
 	tb.End(storeSpan)
-	s.graftStoreSpans(tb, storeSpan, enq, timing)
+	s.graftStoreSpans(tb, storeSpan, enq, timing, seq)
 	if err != nil {
 		if errors.Is(err, ErrDegraded) {
 			// The WAL failed under us (possibly mid-batch, after this
@@ -1121,8 +1094,9 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request) {
 // graftStoreSpans converts the applier's batch timing stamps into child
 // spans of the handler's "store" span: the queue-to-applier handoff,
 // the batched maintenance pass, the WAL append and group-commit fsync,
-// the version install (checkpoint policy included), and the ack wait.
-func (s *Server) graftStoreSpans(tb *tracespan.Builder, storeSpan int, enq time.Time, t *batchTiming) {
+// the version install (checkpoint policy included, tagged with the seq it
+// installed), and the ack wait.
+func (s *Server) graftStoreSpans(tb *tracespan.Builder, storeSpan int, enq time.Time, t *batchTiming, seq uint64) {
 	if tb == nil || t == nil {
 		return
 	}
@@ -1141,7 +1115,8 @@ func (s *Server) graftStoreSpans(tb *tracespan.Builder, storeSpan int, enq time.
 		installFrom = synced
 	}
 	installed := tb.OffsetOf(t.installed)
-	tb.Add("install", storeSpan, installFrom, installed)
+	sp = tb.Add("install", storeSpan, installFrom, installed)
+	tb.Attr(sp, "seq", strconv.FormatUint(seq, 10))
 	tb.Add("ack", storeSpan, installed, tb.Offset())
 }
 

@@ -342,7 +342,7 @@ func diffLines(want, got []byte) string {
 // under -race in the CI serve job. Every scrape must parse, and after
 // the dust settles the outcome counters account for every request.
 func TestConcurrentScrapeWhileQuerying(t *testing.T) {
-	s, ts := newTestServer(t, Config{Source: chainSrc, MaxConcurrent: 4, Parallel: true})
+	s, ts := newTestServer(t, Config{Source: chainSrc, MaxConcurrent: 4})
 	const queriers, queries = 4, 25
 	const scrapers, scrapes = 2, 25
 	var wg sync.WaitGroup

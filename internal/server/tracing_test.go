@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -42,6 +43,16 @@ func decodeBody(t *testing.T, resp *http.Response) map[string]any {
 		t.Fatalf("decoding response: %v", err)
 	}
 	return out
+}
+
+// spanAttr returns the value of a span's attribute key ("" if absent).
+func spanAttr(sp tracespan.Span, key string) string {
+	for _, a := range sp.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
 }
 
 // spanNames collects the names of the top-level stage spans, in order.
@@ -83,11 +94,15 @@ func TestQueryTraceSpans(t *testing.T) {
 		t.Errorf("stage spans = %v, want %v", got, want)
 	}
 
-	// The eval span carries per-pass children grafted from the engine.
+	// The eval span names the store version the query pinned and carries
+	// per-pass children grafted from the engine.
 	evalIdx := -1
 	for i, sp := range req.Spans {
 		if sp.Name == "eval" {
 			evalIdx = i
+			if got := spanAttr(sp, "seq"); got != fmt.Sprint(out["seq"]) {
+				t.Errorf("eval span seq = %q, want the response's seq %v", got, out["seq"])
+			}
 		}
 	}
 	passes := 0
@@ -170,6 +185,11 @@ func TestMutationTraceSpans(t *testing.T) {
 	for _, sp := range req.Spans {
 		if sp.Parent == storeIdx {
 			children[sp.Name] = true
+			if sp.Name == "install" {
+				if got := spanAttr(sp, "seq"); got != fmt.Sprint(out["seq"]) {
+					t.Errorf("install span seq = %q, want the response's seq %v", got, out["seq"])
+				}
+			}
 		}
 	}
 	for _, want := range []string{"applier_queue", "maintain", "wal_append", "wal_fsync", "install", "ack"} {

@@ -2,16 +2,14 @@
 // the optimizer: per-rule/per-pass evaluation metrics (this file) and the
 // stage-by-stage optimization EXPLAIN report (explain.go).
 //
-// The metrics side mirrors the engine's pass-barrier architecture. Rule
-// versions evaluate concurrently under the Parallel strategy, so the
-// counters they bump mid-pass (join probes, firings) accumulate in
-// lock-free per-worker Shards; Shards are drained into the Collector only
-// at pass barriers, on the coordinating goroutine — the same place the
-// engine merges derivation buffers. Merge-side counters (emitted tuples,
-// new facts, duplicates, cut events) are only ever touched on the
-// coordinating goroutine, so they need no shards. The result: tracing a
-// Parallel run yields bit-identical metrics to tracing a SemiNaive run,
-// for the same reason the answers are bit-identical.
+// The metrics side mirrors the engine's pass-barrier architecture. The
+// counters rule versions bump mid-pass (join probes, firings) accumulate
+// in the evaluator's Shard, which is drained into the Collector only at
+// pass barriers — the same place the engine merges derivation buffers.
+// Merge-side counters (emitted tuples, new facts, duplicates, cut events)
+// are recorded at the merge itself, so they need no shard. Each pass
+// record therefore describes one merged pass, on complete and aborted
+// runs alike.
 package trace
 
 import (
@@ -101,8 +99,7 @@ type PassStats struct {
 }
 
 // Metrics is a full evaluation trace: per-rule counters plus the pass
-// timeline. It is deterministic for every strategy; Parallel reproduces
-// SemiNaive's Metrics exactly.
+// timeline. It is deterministic for every strategy.
 type Metrics struct {
 	Rules  []RuleStats `json:"rules"`
 	Passes []PassStats `json:"passes"`
@@ -211,8 +208,8 @@ func (o *VersionOrder) String() string {
 }
 
 // Collector accumulates one evaluation's Metrics. The merge-side methods
-// (Emit, Fact, Duplicate, Cut, Pass) must only be called on the
-// coordinating goroutine; mid-pass counters go through Shards.
+// (Emit, Fact, Duplicate, Cut, Pass) are called at merges and barriers;
+// mid-pass counters go through a Shard.
 type Collector struct {
 	m Metrics
 }
@@ -228,9 +225,8 @@ func NewCollector(texts []string) *Collector {
 	return c
 }
 
-// Shard holds the mid-pass counters of one worker goroutine. A Shard is
-// owned by exactly one goroutine between barriers; Merge drains it on the
-// coordinator.
+// Shard holds the mid-pass counters of a running pass; Merge drains it at
+// the pass barrier.
 type Shard struct {
 	Firings []int64 // per-rule version evaluations
 	Probes  []int64 // per-rule join probes
@@ -244,8 +240,7 @@ func (c *Collector) NewShard() *Shard {
 
 // Merge drains s into the collector: counters are added and s is zeroed,
 // so a long-lived shard can be merged at every barrier without double
-// counting. Must be called on the coordinating goroutine, with s's owner
-// stopped (a pass barrier). A nil shard is a no-op.
+// counting. Must be called at a pass barrier. A nil shard is a no-op.
 func (c *Collector) Merge(s *Shard) {
 	if s == nil {
 		return
